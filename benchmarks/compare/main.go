@@ -108,22 +108,11 @@ func main() {
 	}
 	sort.Strings(names)
 
-	// skipForCPUs reports whether a hardware-conditional metric cannot be
-	// measured on this machine (too few CPUs for a parallel speedup).
-	skipForCPUs := func(m Metric) (float64, bool) {
-		if m.MinCPUs <= 0 {
-			return 0, false
-		}
-		cpus, ok := current["parallel_bench_cpus"]
-		return cpus, !ok || int(cpus) < m.MinCPUs
-	}
-
 	if *promote {
 		for _, name := range names {
 			m := base.Metrics[name]
-			if cpus, skip := skipForCPUs(m); skip {
-				fmt.Printf("%-22s kept at %.4f (needs >=%d CPUs, artifacts report %.0f)\n",
-					name, m.Value, m.MinCPUs, cpus)
+			if reason := skipReason(m, current); reason != "" {
+				fmt.Printf("%-22s kept at %.4f (%s)\n", name, m.Value, reason)
 				continue
 			}
 			got, ok := current[name]
@@ -148,9 +137,8 @@ func main() {
 	failed := 0
 	for _, name := range names {
 		m := base.Metrics[name]
-		if cpus, skip := skipForCPUs(m); skip {
-			fmt.Printf("skip %-22s needs >=%d CPUs, artifacts report %.0f; not enforced on this machine\n",
-				name, m.MinCPUs, cpus)
+		if reason := skipReason(m, current); reason != "" {
+			fmt.Printf("skip %-22s %s\n", name, reason)
 			continue
 		}
 		got, ok := current[name]
@@ -193,4 +181,22 @@ func main() {
 			failed, *basePath)
 	}
 	fmt.Println("all benchmark metrics within tolerance")
+}
+
+// skipReason returns why a hardware-conditional metric cannot be measured
+// from the pooled artifacts — too few CPUs, or no "parallel_bench_cpus"
+// at all, for a parallel speedup — or "" when the metric is checked.
+func skipReason(m Metric, current map[string]float64) string {
+	if m.MinCPUs <= 0 {
+		return ""
+	}
+	cpus, ok := current["parallel_bench_cpus"]
+	if ok && int(cpus) >= m.MinCPUs {
+		return ""
+	}
+	report := "none"
+	if ok {
+		report = fmt.Sprintf("%.0f", cpus)
+	}
+	return fmt.Sprintf("not measured on this host: needs >=%d CPUs, artifacts report %s", m.MinCPUs, report)
 }

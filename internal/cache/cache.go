@@ -98,6 +98,12 @@ type Cache struct {
 	useCtr  uint64
 	stats   Stats
 
+	// resident holds bit i exactly when lines[i].valid: fill marks it,
+	// evict and the ModeGlobal write-hit invalidation unmark it, and every
+	// copy (Clone, CopyFrom, copyLine) carries it over. Flush, CopyFrom and
+	// ValidLines walk it instead of every line header.
+	resident *lineSet
+
 	lineShift uint // log2(LineBytes)
 	setMask   uint32
 	tagShift  uint
@@ -122,6 +128,7 @@ func New(geom *config.Cache, backing Backing) *Cache {
 		backing:   backing,
 		lines:     make([]line, geom.Lines()),
 		arena:     make([]byte, geom.Lines()*geom.LineBytes),
+		resident:  newLineSet(geom.Lines()),
 		lineShift: uint(bits.TrailingZeros32(uint32(geom.LineBytes))),
 		setMask:   uint32(geom.Sets - 1),
 		tagMask:   (uint64(1) << config.TagBits) - 1,
@@ -135,12 +142,13 @@ func New(geom *config.Cache, backing Backing) *Cache {
 }
 
 // Clone returns a deep copy of the cache — tags, data, dirty bits, LRU
-// state, armed fault hooks and statistics — wired over the given backing
-// level. Only valid lines' data is copied: an invalid line's contents are
-// unobservable (lookup requires the valid bit, fill overwrites the data
-// before setting it, and InjectBit masks on invalid lines), so the zeroed
-// arena is equivalent and the copy cost tracks occupancy, not capacity.
-// This is what keeps campaign forks cheap.
+// state, armed fault hooks, statistics and the resident-line set — wired
+// over the given backing level. Only resident lines' data and hooks are
+// copied: an invalid line's data is unobservable (lookup requires the
+// valid bit, fill overwrites the data before setting it, and InjectBit
+// masks on invalid lines) and it never holds hooks, so the zeroed arena is
+// equivalent and the copy cost tracks occupancy, not capacity. This is
+// what keeps campaign forks cheap.
 func (c *Cache) Clone(backing Backing) *Cache {
 	n := &Cache{
 		geom:      c.geom,
@@ -149,6 +157,7 @@ func (c *Cache) Clone(backing Backing) *Cache {
 		arena:     make([]byte, len(c.arena)),
 		useCtr:    c.useCtr,
 		stats:     c.stats,
+		resident:  newLineSet(len(c.lines)),
 		lineShift: c.lineShift,
 		setMask:   c.setMask,
 		tagShift:  c.tagShift,
@@ -157,24 +166,29 @@ func (c *Cache) Clone(backing Backing) *Cache {
 	copy(n.lines, c.lines)
 	lb := c.geom.LineBytes
 	for i := range n.lines {
-		if c.lines[i].valid {
-			copy(n.arena[i*lb:(i+1)*lb], c.lines[i].data)
-		}
 		n.lines[i].data = n.arena[i*lb : (i+1)*lb : (i+1)*lb]
+	}
+	c.resident.rangeSet(func(i int) {
+		copy(n.lines[i].data, c.lines[i].data)
 		if hb := c.lines[i].hookBits; len(hb) > 0 {
 			n.lines[i].hookBits = append([]uint16(nil), hb...)
 		}
-	}
+	})
+	n.resident.copyFrom(c.resident)
 	return n
 }
 
-// CopyFrom makes c a deep copy of src (same geometry) wired over the given
+// CopyFrom makes c a copy of src (same geometry) wired over the given
 // backing level, reusing c's existing line and arena storage. Campaign
 // forks restore hundreds of snapshots; reuse turns each restore into plain
-// memmoves instead of multi-megabyte zeroed allocations. As in Clone, only
-// valid lines' data is copied — whatever c's arena held for lines invalid
-// in src is unobservable. A geometry mismatch returns a typed *Error so
-// the caller can fall back to a fresh Clone instead of panicking.
+// memmoves instead of multi-megabyte zeroed allocations. Only the lines
+// resident in c or in src are copied, so the cost is O(resident), not
+// O(capacity). A line invalid in both keeps c's stale header and data,
+// which no operation reads: lookup requires the valid bit, victim takes
+// the first invalid way without reading its header, InjectBit masks on
+// invalid lines, and an invalid line is never dirty and never holds hooks.
+// A geometry mismatch returns a typed *Error so the caller can fall back
+// to a fresh Clone instead of panicking.
 func (c *Cache) CopyFrom(src *Cache, backing Backing) error {
 	if c.geom != src.geom && *c.geom != *src.geom {
 		return &Error{Op: "restore", Reason: fmt.Sprintf(
@@ -185,17 +199,7 @@ func (c *Cache) CopyFrom(src *Cache, backing Backing) error {
 	c.backing = backing
 	c.useCtr = src.useCtr
 	c.stats = src.stats
-	for i := range c.lines {
-		d := c.lines[i].data
-		c.lines[i] = src.lines[i]
-		c.lines[i].data = d
-		if src.lines[i].valid {
-			copy(d, src.lines[i].data)
-		}
-		if hb := src.lines[i].hookBits; len(hb) > 0 {
-			c.lines[i].hookBits = append([]uint16(nil), hb...)
-		}
-	}
+	c.resident.rangeUnion(src.resident, func(i int) { c.copyLine(src, i) })
 	// A verbatim copy redefines c's content: drop any delta-sync provenance
 	// so stale touched state cannot be mistaken for a valid delta later.
 	// RestoreFrom/CaptureFrom re-establish it when appropriate.
@@ -284,18 +288,27 @@ func (c *Cache) fireHooks(idx int) {
 
 // evict writes back a dirty victim and invalidates it.
 func (c *Cache) evict(idx int) int {
+	if !c.lines[idx].valid {
+		return 0
+	}
+	c.resident.unmark(idx)
+	return c.invalidate(idx)
+}
+
+// invalidate writes back valid line idx if it is dirty and invalidates it,
+// leaving its resident bit to the caller: evict clears one bit, Flush a
+// whole bitmap word at a time.
+func (c *Cache) invalidate(idx int) int {
 	l := &c.lines[idx]
 	cost := 0
-	if l.valid {
-		c.stats.Evictions++
-		c.disarm(idx)
-		if l.dirty {
-			set := (idx / c.geom.Ways)
-			cost += c.backing.StoreLine(c.addrOf(set, l.tag), l.data)
-			c.stats.Writebacks++
-		}
-		c.markLine(idx)
+	c.stats.Evictions++
+	c.disarm(idx)
+	if l.dirty {
+		set := (idx / c.geom.Ways)
+		cost += c.backing.StoreLine(c.addrOf(set, l.tag), l.data)
+		c.stats.Writebacks++
 	}
+	c.markLine(idx)
 	l.valid, l.dirty = false, false
 	return cost
 }
@@ -312,6 +325,7 @@ func (c *Cache) fill(addr uint32) (int, int) {
 	l.tag = c.tagOf(addr)
 	l.valid = true
 	l.dirty = false
+	c.resident.mark(idx)
 	c.touch(idx) // touch marks the line for COW sync too
 	return idx, cost
 }
@@ -354,6 +368,7 @@ func (c *Cache) AccessWrite(addr uint32, mode Mode) (bool, int, error) {
 			c.disarm(idx)
 			c.lines[idx].valid = false
 			c.lines[idx].dirty = false
+			c.resident.unmark(idx)
 			c.markLine(idx)
 			return true, 0, nil
 		}
@@ -459,9 +474,15 @@ func (c *Cache) PeekWord(addr uint32) uint32 { return c.LoadWord(addr) }
 
 // Flush writes back all dirty lines and invalidates the cache (kernel
 // completion on real GPUs flushes L1; campaigns flush between launches).
+// It evicts only resident lines, in ascending line order, so the level
+// below sees the same write-back sequence and LRU updates as a walk over
+// every line, at O(bitmap words + resident lines) instead of O(lines).
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.evict(i)
+	for w, word := range c.resident.bits {
+		c.resident.bits[w] = 0
+		for ; word != 0; word &= word - 1 {
+			c.invalidate(w<<6 + bits.TrailingZeros64(word))
+		}
 	}
 }
 
@@ -553,12 +574,4 @@ func (c *Cache) UpdateResident(addr uint32, src []byte) bool {
 
 // ValidLines returns how many lines currently hold valid data (used by
 // tests and occupancy diagnostics).
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) ValidLines() int { return c.resident.count() }

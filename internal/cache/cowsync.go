@@ -12,6 +12,8 @@ import "math/bits"
 // DESIGN.md "Memory model & copy-on-write fork" for the invariants.
 
 // lineSet is a fixed-size bitmap over the cache's lines. nil bits = off.
+// Besides the copy-on-write sets below, every cache keeps one as its
+// resident-line set (see Cache.resident).
 type lineSet struct {
 	bits []uint64
 }
@@ -21,6 +23,7 @@ func newLineSet(lines int) *lineSet {
 }
 
 func (s *lineSet) mark(i int)     { s.bits[i>>6] |= 1 << uint(i&63) }
+func (s *lineSet) unmark(i int)   { s.bits[i>>6] &^= 1 << uint(i&63) }
 func (s *lineSet) has(i int) bool { return s.bits[i>>6]&(1<<uint(i&63)) != 0 }
 func (s *lineSet) clear()         { clear(s.bits) }
 func (s *lineSet) copyFrom(o *lineSet) {
@@ -42,6 +45,17 @@ func (s *lineSet) rangeSet(fn func(i int)) {
 			b := bits.TrailingZeros64(word)
 			fn(w<<6 + b)
 			word &^= 1 << uint(b)
+		}
+	}
+}
+
+// rangeUnion calls fn for every line index set in s or o (same size), in
+// ascending order. fn may mark or unmark lines of either set: each word of
+// the union is read before its bits are visited.
+func (s *lineSet) rangeUnion(o *lineSet, fn func(i int)) {
+	for w, word := range s.bits {
+		for word |= o.bits[w]; word != 0; word &= word - 1 {
+			fn(w<<6 + bits.TrailingZeros64(word))
 		}
 	}
 }
@@ -100,14 +114,18 @@ func (c *Cache) TouchedLines() int {
 }
 
 // copyLine copies line i of src — header, hooks, and data when observable —
-// into c, reusing c's arena slice for the data.
+// into c, reusing c's arena slice for the data, and carries the line's
+// resident bit along.
 func (c *Cache) copyLine(src *Cache, i int) {
 	d := c.lines[i].data
 	c.lines[i] = src.lines[i]
 	c.lines[i].data = d
-	if src.lines[i].valid {
-		copy(d, src.lines[i].data)
+	if !src.lines[i].valid {
+		c.resident.unmark(i)
+		return
 	}
+	c.resident.mark(i)
+	copy(d, src.lines[i].data)
 	if hb := src.lines[i].hookBits; len(hb) > 0 {
 		c.lines[i].hookBits = append([]uint16(nil), hb...)
 	}
